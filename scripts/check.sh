@@ -105,3 +105,7 @@ if [[ "$SMOKE_BENCH" == "1" ]]; then
     python3 scripts/compare_bench.py --baseline bench/baseline --fresh "$JSON_DIR"
   fi
 fi
+
+# Size of src/, the number ROADMAP.md tracks under "Quality of design".
+# Printed only, never gated.
+echo "src/ line count: $(find src -name '*.cc' -o -name '*.h' | xargs wc -l | tail -1)"

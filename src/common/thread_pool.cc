@@ -53,20 +53,35 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     }
     return;
   }
-  auto next = std::make_shared<std::atomic<size_t>>(0);
+  // Per-call completion count: the caller waits for its own n indices only,
+  // never for other callers' tasks sharing the pool. A task that starts after
+  // every index was claimed touches nothing but `call` and returns.
+  struct Call {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable all_done;
+    size_t done = 0;
+  };
+  auto call = std::make_shared<Call>();
   const size_t spawn = std::min(n, threads_.size());
   for (size_t t = 0; t < spawn; ++t) {
-    Submit([next, n, &fn] {
-      for (;;) {
-        const size_t i = next->fetch_add(1);
-        if (i >= n) {
-          return;
-        }
+    Submit([call, n, &fn] {
+      size_t ran = 0;
+      for (size_t i = call->next.fetch_add(1); i < n; i = call->next.fetch_add(1)) {
         fn(i);
+        ++ran;
+      }
+      if (ran > 0) {
+        std::unique_lock<std::mutex> lock(call->mu);
+        call->done += ran;
+        if (call->done == n) {
+          call->all_done.notify_all();
+        }
       }
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->all_done.wait(lock, [&] { return call->done == n; });
 }
 
 void ThreadPool::WorkerLoop() {

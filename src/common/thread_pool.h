@@ -31,11 +31,12 @@ class ThreadPool {
   // Enqueues `task` for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  // Blocks until every submitted task has finished executing.
+  // Blocks until every submitted task, from any caller, has finished.
   void Wait();
 
-  // Runs `fn(i)` for every i in [0, n), in parallel, and waits for all of
-  // them. `fn` must be safe to invoke concurrently.
+  // Runs `fn(i)` for every i in [0, n), in parallel, and waits for those n
+  // calls only: concurrent callers sharing the pool do not wait for each
+  // other's work. `fn` must be safe to invoke concurrently.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return threads_.size(); }

@@ -183,11 +183,13 @@ struct QueryStats {
   // pin it across sessions.
   uint64_t rows_touched = 0;
 
-  // Sharded fan-out detail (kShardedSeabed): simulated round-two server
-  // latency per shard, the per-shard probe cost (round-one count probe plus
-  // any intra-shard row-group probe) reported separately so pruned shards —
-  // which run no round two — don't over-report, and the coordinator's
-  // ciphertext-side merge time. Empty / zero on single-server backends.
+  // Shard fan-out detail (kSeabed's single shard and kShardedSeabed):
+  // simulated round-two server latency per shard, the per-shard probe cost
+  // (round-one count probe plus any intra-shard row-group probe) reported
+  // separately so pruned shards — which run no round two — don't
+  // over-report, and the coordinator's ciphertext-side merge time (zero on
+  // one shard, which has nothing to merge). Empty / zero on kPlain and
+  // kPaillier.
   std::vector<double> shard_server_seconds;
   std::vector<double> shard_probe_seconds;
   double merge_seconds = 0;
@@ -197,8 +199,8 @@ struct QueryStats {
   // routed this query to before any fan-out, and the fleet size. Equal when
   // the query is not routable (hash placement, or no clustering-key filter
   // — full fan-out); routed == 0 means no shard's key range intersects the
-  // predicate and both rounds were skipped outright. Both zero on
-  // single-server backends.
+  // predicate and both rounds were skipped outright. Both zero on kPlain and
+  // kPaillier.
   uint64_t shards_routed = 0;
   uint64_t shards_total = 0;
 

@@ -9,16 +9,13 @@
 #ifndef SEABED_SRC_SEABED_EXECUTOR_H_
 #define SEABED_SRC_SEABED_EXECUTOR_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/common/epoch.h"
 #include "src/crypto/paillier.h"
 #include "src/query/query.h"
 #include "src/seabed/encryptor.h"
@@ -36,7 +33,7 @@ class SharedResultCache;  // src/seabed/result_cache.h
 
 enum class BackendKind {
   kPlain,          // NoEnc: plaintext execution on the cluster model
-  kSeabed,         // ASHE/SPLASHE/DET/ORE encrypted pipeline
+  kSeabed,         // ASHE/SPLASHE/DET/ORE pipeline: a one-shard kShardedSeabed
   kPaillier,       // CryptDB/Monomi-style Paillier baseline
   kShardedSeabed,  // scale-out Seabed: N partitioned servers + merge layer
   kCachingSeabed,  // result + translated-plan cache over an inner backend
@@ -69,9 +66,10 @@ struct CacheOptions {
   size_t plan_cache_entries = 4096;
 };
 
-// Skew-aware shard rebalancing (kShardedSeabed only; the other backends
-// ignore it). Appends place whole batches on one shard (append locality), so
-// a skewed stream can concentrate rows; when enabled, Append migrates whole
+// Skew-aware shard rebalancing (kShardedSeabed fleets of two or more shards;
+// kSeabed's single shard and the other backends ignore it). Appends place
+// whole batches on one shard (append locality), so a skewed stream can
+// concentrate rows; when enabled, Append migrates whole
 // row-groups from overloaded shards to underloaded ones — moved rows are
 // re-encrypted into the recipient's ASHE identifier space and the donor's
 // remainder into a fresh disjoint slot, so coordinator merge semantics are
@@ -99,9 +97,10 @@ struct AttachedTable {
   PlainSchema schema;
   EncryptionPlan plan;
 
-  // Encrypted form owned by the backend that prepared it: the Seabed
-  // database for SeabedBackend, the baseline database for PaillierBackend,
-  // absent for PlainExecutorBackend.
+  // Client-side view of the encrypted form the backend prepared: for the
+  // Seabed backends, part 0 itself on one shard and a fleet's merged view
+  // (plan, union of DET dictionaries, part 0's table) otherwise; the
+  // baseline database for PaillierBackend; absent for PlainExecutorBackend.
   std::optional<EncryptedDatabase> enc;
 };
 
@@ -182,9 +181,10 @@ class Executor {
   virtual void SetPlanCache(std::shared_ptr<TranslatedPlanCache> cache) { (void)cache; }
 
   // Snapshot of the cumulative skew-rebalancing detail, or nullopt on
-  // backends that never migrate rows (everything but kShardedSeabed; the
-  // caching decorator forwards to its inner backend). A copy taken under
-  // the backend's state lock, so it is safe to call while appends run.
+  // backends that never migrate rows (everything but a kShardedSeabed fleet
+  // of two or more shards; the caching decorator forwards to its inner
+  // backend). A copy taken under the backend's state lock, so it is safe to
+  // call while appends run.
   virtual std::optional<RebalanceStats> rebalance_stats() const { return std::nullopt; }
 
   // True when Execute pins an immutable snapshot instead of relying on
@@ -195,12 +195,11 @@ class Executor {
   virtual bool snapshot_isolated() const { return false; }
 };
 
-// Appends `src`'s rows onto `dst`'s plaintext columns. Columns that `dst`
-// shares (by object identity) with `shared_with` are skipped — the encrypted
-// side grows those itself. Shared by the backends' Append implementations.
-void GrowPlainTable(Table& dst, const Table& src, const Table* shared_with);
+// Appends `src`'s rows onto `dst`'s plaintext columns. Shared by the
+// backends' Append implementations.
+void GrowPlainTable(Table& dst, const Table& src);
 
-// Deep copy of a plaintext int/string table (fresh columns, no sharing).
+// Deep copy of a table (DeepCopyTable: fresh columns, no sharing).
 // Sessions exercised with Append must each own their table — Append grows
 // the attached table in place, so attaching one shared instance to several
 // sessions would compound every batch. Used by benches and the equivalence
@@ -228,73 +227,6 @@ class PlainExecutorBackend : public Executor {
 
  private:
   const ExecutionContext* context_;
-};
-
-// Seabed: plan-driven encryption, translated server plans over the untrusted
-// Server, client-side decryption. Tables live in immutable published
-// versions: Execute pins the current version through an epoch guard and runs
-// lock-free; Prepare/Append serialize on a writer mutex, build the next
-// version off to the side, and publish it with one atomic swap.
-class SeabedBackend : public Executor {
- public:
-  explicit SeabedBackend(const ExecutionContext* context) : context_(context) {}
-
-  const char* name() const override { return "seabed"; }
-  void Prepare(AttachedTable& table) override;
-  void Append(AttachedTable& table, const Table& new_rows,
-              JobStats* stats = nullptr) override;
-  ResultSet Execute(const Query& query, QueryStats* stats) override;
-  ResultSet ExecutePrepared(const PreparedQuery& prepared, std::span<const Value> params,
-                            QueryStats* stats) override;
-  void SetPlanCache(std::shared_ptr<TranslatedPlanCache> cache) override {
-    plan_cache_ = std::move(cache);
-  }
-  bool snapshot_isolated() const override { return true; }
-
-  // The untrusted side, exposed for tests that inspect what the server sees.
-  const Server& server() const { return server_; }
-
-  // Summary-build count of the table's current version (see
-  // VersionProbeIndex::builds; regression hook for the double-build race).
-  uint64_t probe_index_builds(const std::string& table) const;
-
-  // Reclamation domain, exposed for tests that assert retired versions drain.
-  EpochDomain& epoch_domain() const { return epochs_; }
-
- private:
-  struct TableState {
-    // Owning reference to the published version; written under writer_mu_.
-    std::shared_ptr<const TableVersion> owner;
-    // Lock-free read point. Readers must hold an epochs_ guard across the
-    // load and every dereference of the result.
-    std::atomic<const TableVersion*> current{nullptr};
-  };
-
-  // Pinned pointer to `name`'s published version (caller holds a guard), or
-  // null when the table was never prepared.
-  const TableVersion* CurrentVersion(const std::string& name) const;
-  TableState& StateFor(const std::string& name);
-
-  // Post-translation execution shared by the ad-hoc and prepared paths:
-  // probe round, server scan, client decryption, probe stats. `query` must
-  // be fully bound; the caller holds the epoch guard that pins `fver`.
-  ResultSet RunTranslated(const Query& query, const AttachedTable& fact,
-                          const TableVersion* fver, const EncryptedDatabase* right_db,
-                          const TranslatedQuery& tq, QueryStats* stats);
-
-  const ExecutionContext* context_;
-  Server server_;
-  std::shared_ptr<TranslatedPlanCache> plan_cache_;
-  // Shape-plan memo for the prepared path when no external cache was
-  // installed: Prepare+bind must never retranslate per call even on a bare
-  // kSeabed session. The ad-hoc path keeps ignoring it so uncached Execute
-  // semantics (and its benchmarked translate cost) are unchanged.
-  TranslatedPlanCache own_plan_cache_{256};
-
-  mutable EpochDomain epochs_;
-  std::mutex writer_mu_;  // serializes Prepare/Append (never held by readers)
-  mutable std::mutex states_mu_;  // guards the states_ map shape only
-  std::map<std::string, std::unique_ptr<TableState>> states_;
 };
 
 struct PaillierBackendOptions {
@@ -325,9 +257,10 @@ class PaillierBackend : public Executor {
 };
 
 // Builds the backend for `kind`. `paillier_options` configures kPaillier;
-// `shards` sets the fan-out width of kShardedSeabed; `cache` configures
-// kCachingSeabed, whose inner backend is built by recursing on
-// `cache.inner` (each knob is ignored by the kinds it does not concern).
+// `shards` sets the fan-out width of kShardedSeabed (kSeabed always builds
+// one shard); `cache` configures kCachingSeabed, whose inner backend is built
+// by recursing on `cache.inner` (each knob is ignored by the kinds it does
+// not concern).
 std::unique_ptr<Executor> MakeExecutor(BackendKind kind, const ExecutionContext* context,
                                        const PaillierBackendOptions& paillier_options,
                                        size_t shards, const CacheOptions& cache);

@@ -1,9 +1,10 @@
 // Shared probe-and-prune machinery for two-round query execution.
 //
 // PR 2's sharded backend introduced a probe round: spend one cheap round
-// trip so round two touches less data. This module generalizes that idea so
-// single-server backends profit too (the classic message-rounds vs. work
-// tradeoff — an extra round is a win whenever selectivity is low):
+// trip so round two touches less data. This module generalizes that idea to
+// row groups inside each shard, so a single shard profits too (the classic
+// message-rounds vs. work tradeoff — an extra round is a win whenever
+// selectivity is low):
 //
 //   * CountProbePlan turns any translated ServerPlan into the sharded
 //     backend's round-one plan (same predicates/join, one row count, no

@@ -76,7 +76,7 @@ struct ServerProbeResult {
 };
 
 // The server is stateless: it holds no table registry and no mutable probe
-// state. Backends own immutable `TableVersion` snapshots (src/seabed/
+// state. Backends own immutable `ShardedTableVersion` snapshots (src/seabed/
 // snapshot.h) and hand Execute the exact table objects to scan, so any number
 // of queries run concurrently with zero server-side synchronization — the
 // snapshot publish/reclaim protocol (src/common/epoch.h) is the only

@@ -40,20 +40,21 @@ struct SessionOptions {
   TranslatorOptions translator;
   PaillierBackendOptions paillier;
 
-  // Two-round probe-and-prune execution (src/seabed/probe.h). On kSeabed
-  // (standalone or as a caching inner) round one consults the server's
-  // row-group summaries and round two scans only surviving groups; on
-  // kShardedSeabed kForced extends the shard-level probe to every query.
-  // kPlain/kPaillier ignore it.
+  // Two-round probe-and-prune execution (src/seabed/probe.h). On kSeabed and
+  // kShardedSeabed (standalone or as a caching inner) round one consults each
+  // shard's row-group summaries and round two scans only surviving groups; on
+  // a fleet of two or more shards kForced also extends the shard-level count
+  // probe to every query. kPlain/kPaillier ignore it.
   ProbeOptions probe;
 
-  // Fan-out width of the kShardedSeabed backend (ignored by the others).
-  // Each shard is an independent Server holding a hash partition of every
+  // Fan-out width of the kShardedSeabed backend. kSeabed is always a
+  // one-shard fleet and the other backends have no shards, so they ignore
+  // it. Each shard is an independent Server holding a partition of every
   // attached table; queries fan out and merge at the coordinator.
   size_t shards = 4;
 
-  // Row→shard placement of the kShardedSeabed backend (ignored by the
-  // others). The default reproduces the PR-2 multiplicative hash bit-for-bit;
+  // Row→shard placement of the kShardedSeabed backend (kPlain and kPaillier
+  // ignore it; kSeabed's one shard holds every row whatever the policy). The default reproduces the PR-2 multiplicative hash bit-for-bit;
   // PlacementPolicy::kKeyRange places each table named in
   // `shards_placement.clustering_columns` by contiguous ranges of that
   // column, enabling round-zero shard routing of clustering-key range
@@ -61,7 +62,7 @@ struct SessionOptions {
   ShardPlacementOptions shards_placement;
 
   // Skew-aware rebalancing of the kShardedSeabed backend (off by default;
-  // ignored by the others). Appends place whole batches on one shard, so a
+  // ignored by the others, kSeabed's one shard included). Appends place whole batches on one shard, so a
   // skewed stream unbalances the fleet; past the configured skew ratio,
   // Append migrates whole row-groups to underloaded shards (see
   // ShardRebalanceOptions in executor.h and Session::rebalance_stats()).

@@ -23,12 +23,9 @@ constexpr uint64_t kShardIdStride = uint64_t{1} << 40;
 
 uint64_t ShardBaseId(size_t shard) { return 1 + shard * kShardIdStride; }
 
-// Copies the selected rows of a plaintext table into a fresh table (fresh
-// columns — sub-tables must not alias the attached table, whose columns the
-// full replica shares).
-std::shared_ptr<Table> SubsetRows(const Table& src, const std::string& name,
-                                  const std::vector<size_t>& rows) {
-  auto out = std::make_shared<Table>(name);
+// Copies the selected rows of a plaintext table into a fresh table.
+std::shared_ptr<Table> SubsetRows(const Table& src, const std::vector<size_t>& rows) {
+  auto out = std::make_shared<Table>(src.name());
   for (const std::string& col_name : src.column_names()) {
     const ColumnPtr& col = src.GetColumn(col_name);
     if (col->type() == ColumnType::kInt64) {
@@ -48,6 +45,41 @@ std::shared_ptr<Table> SubsetRows(const Table& src, const std::string& name,
       }
       out->AddColumn(col_name, std::move(c));
     }
+  }
+  return out;
+}
+
+// Encrypts the attached table's rows `rows`, in that order, as one part whose
+// ASHE identifiers start at `base_id`. A part that owns every row in order
+// encrypts the attached table itself, with no plaintext copy: the encryptor
+// copies even plain-scheme columns, so the part never aliases the table.
+EncryptedDatabase EncryptRows(const Encryptor& encryptor, const AttachedTable& table,
+                              const std::vector<size_t>& rows, uint64_t base_id) {
+  const Table& plain = *table.plain;
+  if (rows.size() == plain.NumRows() && std::is_sorted(rows.begin(), rows.end())) {
+    return encryptor.EncryptWithBaseId(plain, table.schema, table.plan, base_id);
+  }
+  return encryptor.EncryptWithBaseId(*SubsetRows(plain, rows), table.schema, table.plan,
+                                     base_id);
+}
+
+// Gives the unpublished version `next` its own copies of shard s's row ids,
+// part and probe index (seeded from the parent's), so they can grow without
+// touching the published version they were shared with.
+void CopyShard(ShardedTableVersion& next, size_t s) {
+  next.row_ids[s] = std::make_shared<std::vector<size_t>>(*next.row_ids[s]);
+  next.parts[s] = std::make_shared<EncryptedDatabase>(CopyEncryptedDatabase(*next.parts[s]));
+  auto probe = std::make_shared<VersionProbeIndex>();
+  probe->SeedFrom(*next.probes[s], *next.parts[s]->table);
+  next.probes[s] = std::move(probe);
+}
+
+// Attached-table row ids of the part rows `local` of a shard with ids `ids`.
+std::vector<size_t> GlobalRows(const std::vector<size_t>& ids, const std::vector<size_t>& local) {
+  std::vector<size_t> out;
+  out.reserve(local.size());
+  for (const size_t r : local) {
+    out.push_back(ids[r]);
   }
   return out;
 }
@@ -144,9 +176,11 @@ EncryptedResponse MergeShardResponses(const ServerPlan& plan,
 
 }  // namespace
 
-ShardedSeabedBackend::ShardedSeabedBackend(const ExecutionContext* context, size_t shards)
+ShardedSeabedBackend::ShardedSeabedBackend(const ExecutionContext* context, size_t shards,
+                                           const char* name)
     : context_(context),
       shards_(shards),
+      name_(name),
       servers_(shards),
       pool_(std::min<size_t>(std::max<size_t>(shards, 1),
                              std::max<unsigned>(1, std::thread::hardware_concurrency()))) {
@@ -187,6 +221,9 @@ void ShardedSeabedBackend::Publish(TableState& state,
 }
 
 std::optional<RebalanceStats> ShardedSeabedBackend::rebalance_stats() const {
+  if (shards_ < 2) {
+    return std::nullopt;  // a single shard never migrates rows
+  }
   // Append mutates the counters under the writer mutex; snapshot under the
   // same one so monitors can poll between appends.
   std::lock_guard<std::mutex> lock(writer_mu_);
@@ -204,7 +241,7 @@ const EncryptedDatabase& ShardedSeabedBackend::shard_database(const std::string&
   EpochDomain::Guard guard(epochs_);
   const ShardedTableVersion* version = CurrentVersion(table);
   SEABED_CHECK_MSG(version != nullptr, "table " << table << " was not prepared for sharding");
-  return version->parts[shard];
+  return *version->parts[shard];
 }
 
 const EncryptedDatabase* ShardedSeabedBackend::replica_database(const std::string& table) const {
@@ -220,19 +257,15 @@ std::vector<size_t> ShardedSeabedBackend::ShardRowCounts(const std::string& tabl
   SEABED_CHECK_MSG(version != nullptr, "table " << table << " was not prepared for sharding");
   std::vector<size_t> counts(shards_);
   for (size_t s = 0; s < shards_; ++s) {
-    counts[s] = version->plain_parts[s]->NumRows();
+    counts[s] = version->row_ids[s]->size();
   }
   return counts;
 }
 
-uint64_t ShardedSeabedBackend::probe_index_builds(const std::string& table, size_t shard) const {
-  SEABED_CHECK(shard < shards_);
-  EpochDomain::Guard guard(epochs_);
-  const ShardedTableVersion* version = CurrentVersion(table);
-  return version == nullptr ? 0 : version->probes[shard]->builds();
-}
-
 void ShardedSeabedBackend::EnsureReplica(const AttachedTable& right) {
+  if (shards_ == 1) {
+    return;  // part 0 already holds the whole table
+  }
   {
     EpochDomain::Guard guard(epochs_);
     const ShardedTableVersion* version = CurrentVersion(right.name);
@@ -274,36 +307,35 @@ void ShardedSeabedBackend::Prepare(AttachedTable& table) {
   // consistent with the parts they touch.
   const Placement placement =
       Placement::Resolve(context_->placement, table.name, *table.plain, shards_);
-  const std::vector<std::vector<size_t>> assignment = placement.PartitionRows(*table.plain);
+  std::vector<std::vector<size_t>> assignment = placement.PartitionRows(*table.plain);
   version->placement = placement.policy();
   version->clustering_column = placement.clustering_column();
   version->boundaries = placement.InitialBoundaries(*table.plain, assignment);
 
-  version->plain_parts.resize(shards_);
   version->parts.resize(shards_);
-  version->probes.resize(shards_);
   // Shard encryptions are independent (shared inputs are const) — build
   // them concurrently on the fan-out pool so attach cost does not grow
   // linearly with the shard count.
   pool_.ParallelFor(shards_, [&](size_t s) {
-    version->plain_parts[s] =
-        SubsetRows(*table.plain, table.name + "#shard" + std::to_string(s), assignment[s]);
-    version->parts[s] = encryptor.EncryptWithBaseId(*version->plain_parts[s], table.schema,
-                                                    table.plan, ShardBaseId(s));
+    version->parts[s] = std::make_shared<EncryptedDatabase>(
+        EncryptRows(encryptor, table, assignment[s], ShardBaseId(s)));
   });
   for (size_t s = 0; s < shards_; ++s) {
-    version->probes[s] = std::make_shared<VersionProbeIndex>();
+    version->row_ids.push_back(std::make_shared<std::vector<size_t>>(std::move(assignment[s])));
+    version->probes.push_back(std::make_shared<VersionProbeIndex>());
   }
 
-  // The client-side view: one plan (identical across shards) plus the union
-  // of the shards' DET dictionaries, so group keys produced by any shard
-  // render back to plaintext.
-  version->view.plan = version->parts.front().plan;
-  version->view.table = version->parts.front().table;
-  for (const EncryptedDatabase& part : version->parts) {
-    MergeDictionaries(part, version->view);
+  // A fleet's client-side view: one plan (identical across shards) plus the
+  // union of the shards' DET dictionaries, so group keys produced by any
+  // shard render back to plaintext. A single shard's part is its own view.
+  if (shards_ > 1) {
+    version->merged_view.plan = version->parts.front()->plan;
+    version->merged_view.table = version->parts.front()->table;
+    for (const auto& part : version->parts) {
+      MergeDictionaries(*part, version->merged_view);
+    }
   }
-  table.enc = version->view;
+  table.enc = version->client_view();
 
   Publish(StateFor(table.name), std::move(version));
 }
@@ -331,7 +363,7 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
 
   // The attached plaintext table has no snapshot readers (encrypted Execute
   // never touches it); grow it in place for the session's own accessors.
-  GrowPlainTable(*table.plain, new_rows, nullptr);
+  GrowPlainTable(*table.plain, new_rows);
 
   // Row→shard assignment is the placement policy's call. Hash placement
   // keeps append locality: the whole batch lands on the shard that owns its
@@ -356,15 +388,19 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
     std::shared_ptr<Table> owned;
     const Table* segment = &new_rows;
     if (assignment[dest].size() != new_rows.NumRows()) {
-      owned = SubsetRows(new_rows, table.name + "#append", assignment[dest]);
+      owned = SubsetRows(new_rows, assignment[dest]);
       segment = owned.get();
     }
-    next->plain_parts[dest] = DeepCopyTable(*old->plain_parts[dest]);
-    GrowPlainTable(*next->plain_parts[dest], *segment, nullptr);
-    next->parts[dest] = CopyEncryptedDatabase(old->parts[dest]);
-    encryptor.AppendRows(next->parts[dest], *segment, table.schema);
+    auto ids = std::make_shared<std::vector<size_t>>(*old->row_ids[dest]);
+    for (const size_t r : assignment[dest]) {
+      ids->push_back(prior_rows + r);
+    }
+    next->row_ids[dest] = std::move(ids);
+    auto part = std::make_shared<EncryptedDatabase>(CopyEncryptedDatabase(*old->parts[dest]));
+    encryptor.AppendRows(*part, *segment, table.schema);
     auto dest_probe = std::make_shared<VersionProbeIndex>();
-    dest_probe->SeedFrom(*old->probes[dest], *next->parts[dest].table);
+    dest_probe->SeedFrom(*old->probes[dest], *part->table);
+    next->parts[dest] = std::move(part);
     next->probes[dest] = std::move(dest_probe);
     if (old->placement == PlacementPolicy::kKeyRange) {
       placement.WidenBoundary(new_rows, assignment[dest], next->boundaries[dest]);
@@ -372,20 +408,24 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
     rebuilt[dest] = 1;
   }
 
-  // Appends may mint new DET tokens (dictionary growth); refresh the view.
-  next->view.table = next->parts.front().table;
-  for (size_t dest = 0; dest < shards_; ++dest) {
-    if (rebuilt[dest]) {
-      MergeDictionaries(next->parts[dest], next->view);
+  // Appends may mint new DET tokens (dictionary growth); refresh a fleet's
+  // merged view.
+  if (shards_ > 1) {
+    for (size_t dest = 0; dest < shards_; ++dest) {
+      if (rebuilt[dest]) {
+        MergeDictionaries(*next->parts[dest], next->merged_view);
+      }
     }
   }
   const double encrypt_seconds = append_sw.ElapsedSeconds();
   const uint64_t moved_before = rebalance_stats_.rows_moved;
   MaybeRebalance(table, *next, encryptor, rebuilt);
-  next->view.table = next->parts.front().table;  // rebalance may replace part 0
+  if (shards_ > 1) {
+    next->merged_view.table = next->parts.front()->table;  // appends copy part 0
+  }
 
   SEABED_CHECK(table.enc.has_value());
-  table.enc = next->view;  // session-visible merged view
+  table.enc = next->client_view();  // session-visible view
   if (stats != nullptr) {
     // The ingest prices as two fabric stages, mirroring how the real system
     // would run it: an encrypt-and-append job over the batch's row ranges,
@@ -427,7 +467,7 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
   std::vector<size_t> counts(shards_);
   size_t total = 0;
   for (size_t s = 0; s < shards_; ++s) {
-    counts[s] = next.plain_parts[s]->NumRows();
+    counts[s] = next.row_ids[s]->size();
     total += counts[s];
   }
   if (total == 0) {
@@ -490,18 +530,14 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
   rebalance_stats_.rebalances += 1;
   std::vector<size_t> tail(shards_);  // donor cut position, walks toward 0
   for (size_t s = 0; s < shards_; ++s) {
-    tail[s] = next.plain_parts[s]->NumRows();
+    tail[s] = next.row_ids[s]->size();
   }
   for (const Move& move : moves) {
     // Recipients grow, so `next` must own their part objects before the
     // first row lands (donors are only read here — replaced wholesale
     // below — and need no copy).
     if (!rebuilt[move.recipient]) {
-      next.plain_parts[move.recipient] = DeepCopyTable(*next.plain_parts[move.recipient]);
-      next.parts[move.recipient] = CopyEncryptedDatabase(next.parts[move.recipient]);
-      auto probe = std::make_shared<VersionProbeIndex>();
-      probe->SeedFrom(*next.probes[move.recipient], *next.parts[move.recipient].table);
-      next.probes[move.recipient] = std::move(probe);
+      CopyShard(next, move.recipient);
       rebuilt[move.recipient] = 1;
     }
     // Re-encrypting into the recipient's identifier space is the canonical
@@ -509,12 +545,13 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
     // so identifier spaces stay disjoint and merge semantics are untouched.
     // The recipient's seeded probe summaries lag the migrated tail; the
     // version's first probe re-syncs them (VersionProbeIndex::Probe).
-    std::vector<size_t> rows(move.rows);
-    std::iota(rows.begin(), rows.end(), tail[move.donor] - move.rows);
-    const auto segment =
-        SubsetRows(*next.plain_parts[move.donor], table.name + "#migrate", rows);
-    GrowPlainTable(*next.plain_parts[move.recipient], *segment, nullptr);
-    encryptor.AppendRows(next.parts[move.recipient], *segment, table.schema);
+    const std::vector<size_t>& donor_ids = *next.row_ids[move.donor];
+    const std::vector<size_t> rows(donor_ids.begin() + (tail[move.donor] - move.rows),
+                                   donor_ids.begin() + tail[move.donor]);
+    std::vector<size_t>& recipient_ids = *next.row_ids[move.recipient];
+    recipient_ids.insert(recipient_ids.end(), rows.begin(), rows.end());
+    encryptor.AppendRows(*next.parts[move.recipient], *SubsetRows(*table.plain, rows),
+                         table.schema);
     tail[move.donor] -= move.rows;
     rebalance_stats_.rows_moved += move.rows;
     rebalance_stats_.row_groups_moved += (move.rows + group - 1) / group;
@@ -530,13 +567,11 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
     // truncated tail's identifiers (ids are base + row) for different
     // plaintexts, repeating ASHE pads an adversary who recorded the old
     // upload could subtract to learn plaintext differences.
-    std::vector<size_t> kept(tail[s]);
-    std::iota(kept.begin(), kept.end(), size_t{0});
-    auto remainder = SubsetRows(*next.plain_parts[s],
-                                table.name + "#shard" + std::to_string(s), kept);
-    next.parts[s] = encryptor.EncryptWithBaseId(*remainder, table.schema, table.plan,
-                                                ShardBaseId(next.next_id_slot++));
-    next.plain_parts[s] = std::move(remainder);
+    auto kept = std::make_shared<std::vector<size_t>>(next.row_ids[s]->begin(),
+                                                      next.row_ids[s]->begin() + tail[s]);
+    next.parts[s] = std::make_shared<EncryptedDatabase>(
+        EncryptRows(encryptor, table, *kept, ShardBaseId(next.next_id_slot++)));
+    next.row_ids[s] = std::move(kept);
     // A fresh table object gets a fresh (empty) probe index: summaries of
     // the old object can never leak onto the re-encrypted one, the stale-
     // summary class of bug PR 5 fixed by registry resets.
@@ -558,7 +593,7 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
   std::vector<size_t> counts(shards_);
   size_t total = 0;
   for (size_t s = 0; s < shards_; ++s) {
-    counts[s] = next.plain_parts[s]->NumRows();
+    counts[s] = next.row_ids[s]->size();
     total += counts[s];
   }
   if (total == 0) {
@@ -648,28 +683,25 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
   // Per-donor key order over the shard's PRE-PASS rows (ties broken by row
   // index — deterministic) with two cursors: a donor may shed its low end to
   // the left neighbor and its high end to the right in the same pass. Rows a
-  // cascading shard receives this pass land past orig_counts (GrowPlainTable
-  // appends) and so never enter its order — matching the planner's `taken`
+  // cascading shard receives this pass land past orig_counts (appended to its
+  // row ids) and so never enter its order — matching the planner's `taken`
   // budget, which only promised away pre-pass rows.
   std::vector<std::vector<size_t>> key_order(shards_);
   std::vector<size_t> low_taken(shards_, 0), high_taken(shards_, 0);
   for (const Move& move : moves) {
     std::vector<size_t>& order = key_order[move.donor];
     if (order.empty()) {
-      const Table& part = *next.plain_parts[move.donor];
+      const std::vector<size_t>& ids = *next.row_ids[move.donor];
       order.resize(orig_counts[move.donor]);
       std::iota(order.begin(), order.end(), size_t{0});
       std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        const int64_t ka = placement.KeyAt(part, a), kb = placement.KeyAt(part, b);
+        const int64_t ka = placement.KeyAt(*table.plain, ids[a]);
+        const int64_t kb = placement.KeyAt(*table.plain, ids[b]);
         return ka != kb ? ka < kb : a < b;
       });
     }
     if (!rebuilt[move.recipient]) {
-      next.plain_parts[move.recipient] = DeepCopyTable(*next.plain_parts[move.recipient]);
-      next.parts[move.recipient] = CopyEncryptedDatabase(next.parts[move.recipient]);
-      auto probe = std::make_shared<VersionProbeIndex>();
-      probe->SeedFrom(*next.probes[move.recipient], *next.parts[move.recipient].table);
-      next.probes[move.recipient] = std::move(probe);
+      CopyShard(next, move.recipient);
       rebuilt[move.recipient] = 1;
     }
     // The boundary segment: the donor's `rows` smallest (or largest) not-yet-
@@ -677,8 +709,8 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
     // time order inside the recipient. Re-encrypting into the recipient's
     // identifier space is the canonical append path, as in the hash arm — but
     // a recipient that donates onward re-encrypts wholesale below, so feeding
-    // its encrypted side here would be wasted work (the plain part must still
-    // grow either way; it is the source of truth for the re-encryption).
+    // its encrypted side here would be wasted work (its row ids must still
+    // grow either way; they are the source of truth for the re-encryption).
     std::vector<size_t> segment_rows(
         move.low_end ? order.begin() + low_taken[move.donor]
                      : order.end() - high_taken[move.donor] - move.rows,
@@ -686,14 +718,14 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
                      : order.end() - high_taken[move.donor]);
     (move.low_end ? low_taken : high_taken)[move.donor] += move.rows;
     std::sort(segment_rows.begin(), segment_rows.end());
-    const auto segment =
-        SubsetRows(*next.plain_parts[move.donor], table.name + "#migrate", segment_rows);
-    GrowPlainTable(*next.plain_parts[move.recipient], *segment, nullptr);
+    const std::vector<size_t> moved = GlobalRows(*next.row_ids[move.donor], segment_rows);
+    std::vector<size_t>& recipient_ids = *next.row_ids[move.recipient];
+    recipient_ids.insert(recipient_ids.end(), moved.begin(), moved.end());
     if (!was_donor[move.recipient]) {
-      encryptor.AppendRows(next.parts[move.recipient], *segment, table.schema);
+      encryptor.AppendRows(*next.parts[move.recipient], *SubsetRows(*table.plain, moved),
+                           table.schema);
     }
-    placement.WidenBoundary(*next.plain_parts[move.donor], segment_rows,
-                            next.boundaries[move.recipient]);
+    placement.WidenBoundary(*table.plain, moved, next.boundaries[move.recipient]);
     rebalance_stats_.rows_moved += move.rows;
     rebalance_stats_.row_groups_moved += (move.rows + group - 1) / group;
   }
@@ -709,15 +741,14 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
     const std::vector<size_t>& order = key_order[s];
     std::vector<size_t> kept(order.begin() + low_taken[s], order.end() - high_taken[s]);
     std::sort(kept.begin(), kept.end());
-    for (size_t r = orig_counts[s]; r < next.plain_parts[s]->NumRows(); ++r) {
+    for (size_t r = orig_counts[s]; r < next.row_ids[s]->size(); ++r) {
       kept.push_back(r);
     }
-    auto remainder = SubsetRows(*next.plain_parts[s],
-                                table.name + "#shard" + std::to_string(s), kept);
-    next.parts[s] = encryptor.EncryptWithBaseId(*remainder, table.schema, table.plan,
-                                                ShardBaseId(next.next_id_slot++));
-    next.boundaries[s] = placement.BoundaryOfRows(*next.plain_parts[s], kept);
-    next.plain_parts[s] = std::move(remainder);
+    auto kept_ids = std::make_shared<std::vector<size_t>>(GlobalRows(*next.row_ids[s], kept));
+    next.parts[s] = std::make_shared<EncryptedDatabase>(
+        EncryptRows(encryptor, table, *kept_ids, ShardBaseId(next.next_id_slot++)));
+    next.boundaries[s] = placement.BoundaryOfRows(*table.plain, *kept_ids);
+    next.row_ids[s] = std::move(kept_ids);
     next.probes[s] = std::make_shared<VersionProbeIndex>();
     rebuilt[s] = 1;
     rebalance_stats_.rows_reencrypted += kept.size();
@@ -733,7 +764,7 @@ std::vector<EncryptedResponse> ShardedSeabedBackend::FanOut(const ShardedTableVe
   pool_.ParallelFor(shards_, [&](size_t s) {
     if (active[s]) {
       responses[s] =
-          servers_[s].Execute(plan, *context_->cluster, version.parts[s].table.get(), right);
+          servers_[s].Execute(plan, *context_->cluster, version.parts[s]->table.get(), right);
     }
   });
   return responses;
@@ -742,10 +773,10 @@ std::vector<EncryptedResponse> ShardedSeabedBackend::FanOut(const ShardedTableVe
 ResultSet ShardedSeabedBackend::Execute(const Query& query, QueryStats* stats) {
   const AttachedTable& fact = context_->catalog->Get(query.table);
 
-  // Joins need the right table's broadcast replica. Guarantee it exists
-  // BEFORE pinning: replica presence is monotone across versions, so any
-  // version pinned after EnsureReplica returns carries one consistent with
-  // its own rows.
+  // Joins on a fleet need the right table's broadcast replica. Guarantee it
+  // exists BEFORE pinning: replica presence is monotone across versions, so
+  // any version pinned after EnsureReplica returns carries one consistent
+  // with its own rows.
   if (query.join.has_value()) {
     EnsureReplica(context_->catalog->Get(query.join->right_table));
   }
@@ -757,46 +788,21 @@ ResultSet ShardedSeabedBackend::Execute(const Query& query, QueryStats* stats) {
   const ShardedTableVersion* ver = CurrentVersion(query.table);
   SEABED_CHECK_MSG(ver != nullptr, "table " << fact.name << " was not prepared");
 
-  // One translation serves every shard: the shards share the encryption
-  // plan, keys and table name, so the server plan is identical across the
-  // fleet. Repeated dashboard shapes skip it entirely via the shared plan
-  // cache (installed by the caching decorator; nullptr otherwise).
+  // Repeated dashboard shapes skip translation entirely via the shared plan
+  // cache (installed by the caching decorator or a Service; nullptr
+  // otherwise).
   Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-  std::shared_ptr<const TranslatedQuery> cached_tq;
+  const TranslatorOptions topts = CallTranslatorOptions();
   bool plan_cache_hit = false;
-  std::string plan_key;
-  if (plan_cache_ != nullptr) {
-    plan_key = PlanCacheKey(query, topts);
-    cached_tq = plan_cache_->Find(plan_key);
-    plan_cache_hit = cached_tq != nullptr;
-  }
-  if (cached_tq == nullptr) {
-    const Translator translator(ver->view, *context_->keys);
-    cached_tq = std::make_shared<TranslatedQuery>(translator.Translate(query, topts));
-    if (plan_cache_ != nullptr) {
-      plan_cache_->Insert(plan_key, cached_tq);
-    }
-  }
+  const std::shared_ptr<const TranslatedQuery> cached_tq =
+      Translate(query, *ver, topts, plan_cache_.get(),
+                plan_cache_ != nullptr ? PlanCacheKey(query, topts) : std::string(),
+                &plan_cache_hit);
   const TranslatedQuery& tq = *cached_tq;
-
-  // Joins broadcast the full replica: every shard joins its partition
-  // against the whole right table, handed to the servers directly from the
-  // right table's pinned version.
-  const EncryptedDatabase* right_db = nullptr;
-  const Table* right_table = nullptr;
-  if (tq.server.join.has_value()) {
-    const ShardedTableVersion* rver = CurrentVersion(query.join->right_table);
-    SEABED_CHECK_MSG(rver != nullptr,
-                     "joined table " << query.join->right_table << " not prepared");
-    SEABED_CHECK(rver->replica != nullptr);
-    right_db = rver->replica.get();
-    right_table = right_db->table.get();
-  }
+  const EncryptedDatabase* right_db = JoinRight(query, tq);
   const double translate_seconds = translate_sw.ElapsedSeconds();
 
-  ResultSet result = RunTranslated(query, fact, ver, right_db, right_table, tq, stats);
+  ResultSet result = RunTranslated(query, fact, ver, right_db, tq, stats);
   if (stats != nullptr) {
     stats->translate_seconds = translate_seconds;
     stats->plan_cache_hit = plan_cache_hit;
@@ -830,39 +836,23 @@ ResultSet ShardedSeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
   const ShardedTableVersion* ver = CurrentVersion(shape.table);
   SEABED_CHECK_MSG(ver != nullptr, "table " << fact.name << " was not prepared");
 
-  // One translation per shape, shared by the whole fleet: the handle carries
-  // the fingerprint half of the plan key, so a warm call is one map lookup.
+  // One translation per shape: the handle carries the fingerprint half of
+  // the plan key, so a warm call is one map lookup.
   Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-  TranslatedPlanCache& cache = plan_cache_ != nullptr ? *plan_cache_ : own_plan_cache_;
-  const std::string plan_key =
-      prepared.plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts);
-  std::shared_ptr<const TranslatedQuery> shape_tq = cache.Find(plan_key);
-  const bool plan_cache_hit = shape_tq != nullptr;
-  if (shape_tq == nullptr) {
-    const Translator translator(ver->view, *context_->keys);
-    shape_tq = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
-    cache.Insert(plan_key, shape_tq);
-  }
-
-  const EncryptedDatabase* right_db = nullptr;
-  const Table* right_table = nullptr;
-  if (shape_tq->server.join.has_value()) {
-    const ShardedTableVersion* rver = CurrentVersion(shape.join->right_table);
-    SEABED_CHECK_MSG(rver != nullptr,
-                     "joined table " << shape.join->right_table << " not prepared");
-    SEABED_CHECK(rver->replica != nullptr);
-    right_db = rver->replica.get();
-    right_table = right_db->table.get();
-  }
+  const TranslatorOptions topts = CallTranslatorOptions();
+  bool plan_cache_hit = false;
+  const std::shared_ptr<const TranslatedQuery> shape_tq =
+      Translate(shape, *ver, topts, plan_cache_ != nullptr ? plan_cache_.get() : &own_plan_cache_,
+                prepared.plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts),
+                &plan_cache_hit);
+  const EncryptedDatabase* right_db = JoinRight(shape, *shape_tq);
   const double translate_seconds = translate_sw.ElapsedSeconds();
 
   Stopwatch plan_bind_sw;
   const TranslatedQuery bound_tq = BindTranslatedQuery(*shape_tq, params);
   bind_seconds += plan_bind_sw.ElapsedSeconds();
 
-  ResultSet result = RunTranslated(bound, fact, ver, right_db, right_table, bound_tq, stats);
+  ResultSet result = RunTranslated(bound, fact, ver, right_db, bound_tq, stats);
   if (stats != nullptr) {
     stats->translate_seconds = translate_seconds;
     stats->plan_cache_hit = plan_cache_hit;
@@ -872,15 +862,54 @@ ResultSet ShardedSeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
   return result;
 }
 
+TranslatorOptions ShardedSeabedBackend::CallTranslatorOptions() const {
+  TranslatorOptions topts = context_->translator;
+  topts.cluster_workers = context_->cluster->num_workers();
+  return topts;
+}
+
+std::shared_ptr<const TranslatedQuery> ShardedSeabedBackend::Translate(
+    const Query& query, const ShardedTableVersion& ver, const TranslatorOptions& topts,
+    TranslatedPlanCache* cache, const std::string& key, bool* cache_hit) const {
+  std::shared_ptr<const TranslatedQuery> tq = cache != nullptr ? cache->Find(key) : nullptr;
+  *cache_hit = tq != nullptr;
+  if (tq == nullptr) {
+    const Translator translator(ver.client_view(), *context_->keys);
+    tq = std::make_shared<TranslatedQuery>(translator.Translate(query, topts));
+    if (cache != nullptr) {
+      cache->Insert(key, tq);
+    }
+  }
+  return tq;
+}
+
+const EncryptedDatabase* ShardedSeabedBackend::JoinRight(const Query& query,
+                                                         const TranslatedQuery& tq) const {
+  if (!tq.server.join.has_value()) {
+    return nullptr;
+  }
+  const ShardedTableVersion* rver = CurrentVersion(query.join->right_table);
+  SEABED_CHECK_MSG(rver != nullptr, "joined table " << query.join->right_table << " not prepared");
+  if (shards_ == 1) {
+    return rver->parts[0].get();
+  }
+  // A fleet broadcasts the full replica: every shard joins its partition
+  // against the whole right table.
+  SEABED_CHECK(rver->replica != nullptr);
+  return rver->replica.get();
+}
+
 ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const AttachedTable& fact,
                                               const ShardedTableVersion* ver,
                                               const EncryptedDatabase* right_db,
-                                              const Table* right_table,
                                               const TranslatedQuery& tq, QueryStats* stats) {
-  // Round one: probe all shards with a cheap row count (the shared
-  // CountProbePlan, src/seabed/probe.h); round two then skips shards with no
-  // matching rows. Two-round-trip queries always probe (the PR-2 contract);
-  // ProbeMode::kForced extends the probe to every query.
+  const Table* right_table = right_db == nullptr ? nullptr : right_db->table.get();
+  // Round one on a fleet: probe all shards with a cheap row count (the
+  // shared CountProbePlan, src/seabed/probe.h); round two then skips shards
+  // with no matching rows. Two-round-trip queries always probe (the PR-2
+  // contract); ProbeMode::kForced extends the probe to every query. A single
+  // shard skips this round: the row-group probe below decides round two for
+  // it at finer grain.
   const ProbeOptions& popts = context_->probe;
   std::vector<bool> active(shards_, true);
   std::vector<double> shard_probe_seconds(shards_, 0.0);
@@ -913,7 +942,7 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
   // A query routed to zero shards skips the probe round outright: round two
   // is already decided.
   const bool shard_prunable = !tq.server.predicates.empty() || tq.server.join.has_value();
-  if (shards_routed > 0 &&
+  if (shards_ > 1 && shards_routed > 0 &&
       (query.needs_two_round_trips ||
        (popts.mode == ProbeMode::kForced && shard_prunable))) {
     shard_probe_used = true;
@@ -929,10 +958,10 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
     }
   }
 
-  // Intra-shard pruning gate — the same adaptive rule SeabedBackend applies:
-  // the plan must be prunable at row-group granularity, and either the mode
-  // forces it, the client flagged the two-round path, or the planner's
-  // selectivity estimate predicts a win.
+  // Intra-shard pruning gate (adaptive two-round execution): the plan must
+  // be prunable at row-group granularity, and either the mode forces it, the
+  // client flagged the two-round path, or the planner's selectivity estimate
+  // predicts a win.
   bool intra_prune = false;
   if (popts.mode != ProbeMode::kOff && tq.probe.prunable) {
     intra_prune = popts.mode == ProbeMode::kForced || query.needs_two_round_trips ||
@@ -951,17 +980,17 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
   uint64_t row_groups_total = 0;
   uint64_t row_groups_pruned = 0;
   if (!any_active) {
-    // Zero-match short-circuit (mirrors SeabedBackend): no shard holds a
-    // matching row, so round two never fans out — the empty merged response
-    // decrypts to the same rows a zero-match scan produces (global
-    // aggregates still yield the SQL zero row).
+    // Zero-match short-circuit: no shard holds a matching row, so round two
+    // never fans out — the empty merged response decrypts to the same rows a
+    // zero-match scan produces (global aggregates still yield the SQL zero
+    // row).
     merged = EncryptedResponse{};
   } else {
     // Round two, pruned inside each surviving shard: the shard's Server
     // evaluates the plan's ProbeSection against its row-group summary index
-    // and scans only the surviving ranges — the same pruned-scan
-    // Execute(scan_ranges) path the single-server backend runs, now inside
-    // the fleet. Shards whose index rules out every group skip the scan.
+    // and scans only the surviving ranges (the pruned-scan
+    // Execute(scan_ranges) path). Shards whose index rules out every group
+    // skip the scan.
     std::vector<EncryptedResponse> responses(shards_);
     std::vector<ServerProbeResult> probes(shards_);
     std::vector<char> probed(shards_, 0);
@@ -971,7 +1000,7 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
       }
       const std::vector<RowRange>* scan_ranges = nullptr;
       if (intra_prune) {
-        probes[s] = ver->probes[s]->Probe(*ver->parts[s].table, tq.probe, popts.row_group_size);
+        probes[s] = ver->probes[s]->Probe(*ver->parts[s]->table, tq.probe, popts.row_group_size);
         probed[s] = 1;
         if (probes[s].surviving.empty()) {
           return;  // shard-local zero match: no round-two scan here
@@ -979,7 +1008,7 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
         scan_ranges = &probes[s].surviving;
       }
       responses[s] = servers_[s].Execute(tq.server, *context_->cluster,
-                                         ver->parts[s].table.get(), right_table, scan_ranges);
+                                         ver->parts[s]->table.get(), right_table, scan_ranges);
     });
     for (size_t s = 0; s < shards_; ++s) {
       if (probed[s]) {
@@ -991,10 +1020,14 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
       shard_round_two_seconds[s] = responses[s].ServerSeconds();
     }
 
-    Stopwatch merge_sw;
-    merged = MergeShardResponses(tq.server, responses);
-    merge_seconds = merge_sw.ElapsedSeconds();
-    merged.driver_seconds += merge_seconds;
+    if (shards_ == 1) {
+      merged = std::move(responses[0]);  // nothing to merge
+    } else {
+      Stopwatch merge_sw;
+      merged = MergeShardResponses(tq.server, responses);
+      merge_seconds = merge_sw.ElapsedSeconds();
+      merged.driver_seconds += merge_seconds;
+    }
   }
 
   // Shards probe in parallel, so the probe round costs the slowest shard.
@@ -1004,7 +1037,7 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
   }
   const bool probe_used = shard_probe_used || intra_probed;
 
-  const Client client(ver->view, *context_->keys);
+  const Client client(ver->client_view(), *context_->keys);
   ResultSet result = client.Decrypt(merged, tq, *context_->cluster, right_db, stats);
   if (stats != nullptr) {
     stats->backend = name();

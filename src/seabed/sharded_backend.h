@@ -1,18 +1,21 @@
-// Scale-out Seabed: N partitioned Server instances behind one Executor.
+// Seabed's execution backend: N partitioned Server instances behind one
+// Executor. BackendKind::kSeabed is the one-shard fleet; kShardedSeabed is
+// the same backend with SessionOptions::shards servers.
 //
 // The paper's Figure 7 sweeps cluster cores inside ONE simulated Spark
-// cluster; this backend adds the next axis — multiple servers. Attach
+// cluster; more shards add the next axis — multiple servers. Attach
 // partitions each table's rows into one encrypted database per shard under
 // the session's placement policy (src/seabed/placement.h): multiplicative
 // hash by default, or contiguous clustering-key ranges (kKeyRange), whose
 // per-shard [lo, hi] boundaries ride in the published snapshot and let the
 // coordinator route clustering-key range predicates to the owning shard
 // subset before any fan-out (round-zero pruning, QueryStats::shards_routed);
-// the first join that needs a table as its right side builds one full
-// encrypted replica of it, broadcast to every shard. Execute translates the
-// query once and fans the same server plan out to all shards concurrently,
-// and a coordinator merge layer combines the partial encrypted responses
-// before a single client decryption:
+// on a fleet, the first join that needs a table as its right side builds one
+// full encrypted replica of it, broadcast to every shard (a single shard
+// joins against its own part, which already holds the whole table). Execute
+// translates the query once and fans the same server plan out to all shards
+// concurrently, and a coordinator merge layer combines the partial encrypted
+// responses before a single client decryption:
 //
 //   * ASHE sums add ciphertext-side (group elements add, ID-list blobs
 //     concatenate — shards encrypt into disjoint identifier spaces, so the
@@ -21,16 +24,22 @@
 //   * GROUP BY groups union-merge by serialized key;
 //   * ORE MIN/MAX reduce by comparing the shards' winners.
 //
-// Queries flagged `needs_two_round_trips` probe all shards with a cheap
-// row-count plan first and re-issue the full plan only to shards that
-// matched — round two touches a subset of the fleet. When no shard matches,
-// round two is skipped entirely (the empty merged response decrypts to the
-// same rows a zero-match scan produces). Inside surviving shards, round two
-// additionally consults each shard's row-group summary index (part of the
-// published snapshot: VersionProbeIndex, src/seabed/snapshot.h) under the
-// session's probe mode, so the pruned-scan Execute(scan_ranges) path runs
-// *within* shards and QueryStats::row_groups_total/pruned aggregate the
-// per-shard indexes.
+// On a fleet, queries flagged `needs_two_round_trips` probe all shards with a
+// cheap row-count plan first and re-issue the full plan only to shards that
+// matched — round two touches a subset of the fleet (a single shard skips
+// this round: its row-group probe below answers the same question at finer
+// grain). When no shard matches, round two is skipped entirely (the empty
+// merged response decrypts to the same rows a zero-match scan produces).
+// Inside surviving shards, round two additionally consults each shard's
+// row-group summary index (part of the published snapshot:
+// VersionProbeIndex, src/seabed/snapshot.h) under the session's probe mode,
+// so the pruned-scan Execute(scan_ranges) path runs *within* shards and
+// QueryStats::row_groups_total/pruned aggregate the per-shard indexes.
+//
+// A version keeps no plaintext copy of its rows: each shard records row ids
+// into the attached table, which only grows by appending, and rebalancing
+// slices the rows it moves out of it. A shard that owns every row encrypts
+// the attached table directly.
 //
 // Concurrency: tables live in immutable published versions
 // (ShardedTableVersion). Execute pins the current version through an epoch
@@ -74,9 +83,11 @@ namespace seabed {
 
 class ShardedSeabedBackend : public Executor {
  public:
-  ShardedSeabedBackend(const ExecutionContext* context, size_t shards);
+  // `name` is what name() and QueryStats::backend report ("seabed" for the
+  // kSeabed one-shard fleet, "sharded-seabed" for kShardedSeabed).
+  ShardedSeabedBackend(const ExecutionContext* context, size_t shards, const char* name);
 
-  const char* name() const override { return "sharded-seabed"; }
+  const char* name() const override { return name_; }
   void Prepare(AttachedTable& table) override;
   void Append(AttachedTable& table, const Table& new_rows,
               JobStats* stats = nullptr) override;
@@ -98,8 +109,8 @@ class ShardedSeabedBackend : public Executor {
   // snapshot what you need before resuming mutation traffic.
   const EncryptedDatabase& shard_database(const std::string& table, size_t shard) const;
   // The full-table join replica of `table`'s current version, or nullptr
-  // while no join query has needed one. Same lifetime caveat as
-  // shard_database.
+  // while no join query has needed one (always on a single shard, which
+  // joins against its own part). Same lifetime caveat as shard_database.
   const EncryptedDatabase* replica_database(const std::string& table) const;
 
   // Per-shard row counts of `table`'s partitions, exposed so tests and
@@ -112,13 +123,6 @@ class ShardedSeabedBackend : public Executor {
   // deliberately skew — the partitioning. Key-range tables place by value
   // instead (see ShardedTableVersion::boundaries).
   size_t ShardOfRow(size_t row) const;
-
-  // Summary-build count of shard `shard`'s probe index in the current
-  // version (see VersionProbeIndex::builds).
-  uint64_t probe_index_builds(const std::string& table, size_t shard) const;
-
-  // Reclamation domain, exposed for tests that assert retired versions drain.
-  EpochDomain& epoch_domain() const { return epochs_; }
 
  private:
   struct TableState {
@@ -138,14 +142,34 @@ class ShardedSeabedBackend : public Executor {
   void Publish(TableState& state, std::shared_ptr<const ShardedTableVersion> next);
 
   // Guarantees `right`'s published version carries a join replica, building
-  // one (as a new version) on first use. Once a version has a replica every
-  // later version does — appends grow a copy — so a reader that pins after
-  // this returns always finds one.
+  // one (as a new version) on first use; a no-op on a single shard. Once a
+  // version has a replica every later version does — appends grow a copy —
+  // so a reader that pins after this returns always finds one.
   void EnsureReplica(const AttachedTable& right);
+
+  // The session's translator options for one call (the cluster shape is
+  // re-read per call: benches sweep it between Execute calls).
+  TranslatorOptions CallTranslatorOptions() const;
+
+  // The translated plan of `query` over `ver`'s client-side view, memoized
+  // under `key` in `cache` when one is given (`cache_hit` reports a hit).
+  // One translation serves every shard: the shards share the encryption
+  // plan, keys and table name, so the server plan is identical across them.
+  std::shared_ptr<const TranslatedQuery> Translate(const Query& query,
+                                                   const ShardedTableVersion& ver,
+                                                   const TranslatorOptions& topts,
+                                                   TranslatedPlanCache* cache,
+                                                   const std::string& key,
+                                                   bool* cache_hit) const;
+
+  // The right side of `tq`'s join from the right table's pinned version
+  // (caller holds the guard): part 0 on a single shard, the broadcast
+  // replica on a fleet. Null when the plan does not join.
+  const EncryptedDatabase* JoinRight(const Query& query, const TranslatedQuery& tq) const;
 
   // Runs `plan` on every shard in `active` concurrently (skipped shards get
   // a default-constructed response), over `version`'s part tables. `right`
-  // is the broadcast join table (nullptr for non-join plans).
+  // is the join's right table (nullptr for non-join plans).
   std::vector<EncryptedResponse> FanOut(const ShardedTableVersion& version,
                                         const ServerPlan& plan, const std::vector<bool>& active,
                                         const Table* right) const;
@@ -157,8 +181,7 @@ class ShardedSeabedBackend : public Executor {
   // the caller holds the epoch guard that pins `ver`.
   ResultSet RunTranslated(const Query& query, const AttachedTable& fact,
                           const ShardedTableVersion* ver, const EncryptedDatabase* right_db,
-                          const Table* right_table, const TranslatedQuery& tq,
-                          QueryStats* stats);
+                          const TranslatedQuery& tq, QueryStats* stats);
 
   // Migrates whole row-groups between shards when an Append left the fleet
   // skewed past `context_->rebalance.max_skew_ratio`. Operates on the
@@ -183,10 +206,12 @@ class ShardedSeabedBackend : public Executor {
 
   const ExecutionContext* context_;
   size_t shards_;
+  const char* name_;
   std::shared_ptr<TranslatedPlanCache> plan_cache_;
   // Shape-plan memo for the prepared path when no external cache was
-  // installed (mirrors SeabedBackend::own_plan_cache_; the ad-hoc path
-  // ignores it).
+  // installed: Prepare+bind never retranslates per call, even on a bare
+  // session. The ad-hoc path ignores it, so uncached Execute keeps its
+  // per-call translate cost.
   TranslatedPlanCache own_plan_cache_{256};
   std::vector<Server> servers_;
   RebalanceStats rebalance_stats_;  // guarded by writer_mu_

@@ -70,30 +70,36 @@ class VersionProbeIndex {
   mutable std::atomic<uint64_t> builds_{0};
 };
 
-// One published version of a single-server table: the encrypted database
-// (table + plan + DET dictionaries, all owned) and its probe index.
-struct TableVersion {
-  EncryptedDatabase enc;
-  VersionProbeIndex probe;
-};
-
-// One published version of a sharded table. Untouched shards share their
-// part tables and probe indexes with the parent version (shared_ptr); an
-// append deep-copies only the destination shard, a rebalance only the
-// donors/recipients it moves rows between.
+// One published version of a table, partitioned over the backend's shards (a
+// single shard for kSeabed). Untouched shards share their part tables, row
+// ids and probe indexes with the parent version (shared_ptr); an append
+// copies only the destination shard, a rebalance only the donors/recipients
+// it moves rows between.
 struct ShardedTableVersion {
-  std::vector<std::shared_ptr<Table>> plain_parts;
-  std::vector<EncryptedDatabase> parts;
+  // Shard s's rows as indexes into the attached plaintext table, in the
+  // part's row order: part row i encrypts attached row (*row_ids[s])[i]. The
+  // attached table only grows by appending, so the ids stay valid and the
+  // fleet keeps no plaintext copy of its own; rebalancing slices the rows it
+  // moves out of the attached table. Read and written by writers only.
+  std::vector<std::shared_ptr<std::vector<size_t>>> row_ids;
+  std::vector<std::shared_ptr<EncryptedDatabase>> parts;
   std::vector<std::shared_ptr<VersionProbeIndex>> probes;  // parallel to parts
 
-  // Merged client-side view (dictionaries across all shards; table points at
-  // a representative part). Translator and Client read this.
-  EncryptedDatabase view;
+  // Merged client-side view of a fleet of two or more shards: the shards'
+  // shared plan, the union of their DET dictionaries, and part 0's table as
+  // the representative. Empty on one shard, whose part 0 is its own view.
+  EncryptedDatabase merged_view;
 
-  // Broadcast replica for joins: the whole table re-encrypted in the replica
-  // id space. Null until the first join; once a version carries a replica,
-  // every later version does (appends grow a copy), so join consistency is
-  // monotone.
+  // The client-side view Translator and Client read.
+  const EncryptedDatabase& client_view() const {
+    return parts.size() == 1 ? *parts[0] : merged_view;
+  }
+
+  // Broadcast replica for joins on a fleet of two or more shards: the whole
+  // table re-encrypted in the replica id space. Null until the first join
+  // (and always null on one shard, whose part 0 is the whole table); once a
+  // version carries a replica, every later version does (appends grow a
+  // copy), so join consistency is monotone.
   std::shared_ptr<const EncryptedDatabase> replica;
 
   // Next fresh ASHE id-space slot for rebalance re-encryption.

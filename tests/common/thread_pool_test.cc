@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <vector>
 
@@ -44,6 +47,34 @@ TEST(ThreadPoolTest, ParallelForSingleThreadFallback) {
   std::vector<int> hits(10, 0);
   pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
+}
+
+// ParallelFor waits for its own indices only. Caller A's task holds one of
+// the two threads until released; caller B's ParallelFor must still return,
+// run entirely on the other thread. The timed wait only bounds a failure —
+// a pool-wide wait would block B until A's task is released.
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForOtherCallersTasks) {
+  ThreadPool pool(2);
+  std::latch a_started(1);
+  std::latch a_release(1);
+  pool.Submit([&] {
+    a_started.count_down();
+    a_release.wait();
+  });
+  a_started.wait();
+
+  std::vector<std::atomic<int>> hits(16);
+  std::future<void> b = std::async(std::launch::async, [&] {
+    pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  });
+  const bool b_returned_first = b.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  a_release.count_down();
+  b.wait();
+  pool.Wait();
+  EXPECT_TRUE(b_returned_first) << "ParallelFor waited for another caller's blocked task";
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {

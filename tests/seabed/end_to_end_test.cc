@@ -14,6 +14,7 @@
 #include "src/seabed/planner.h"
 #include "src/seabed/server.h"
 #include "src/seabed/session.h"
+#include "src/seabed/sharded_backend.h"
 
 namespace seabed {
 namespace {
@@ -233,7 +234,8 @@ TEST_F(EndToEndTest, InflationPlanActuallyInflates) {
   const Translator translator(db, session_.keys());
   const TranslatedQuery tq = translator.Translate(q, topts);
   EXPECT_GT(tq.server.inflation, 1u);
-  const Server& server = static_cast<SeabedBackend&>(session_.executor()).server();
+  const Server& server =
+      static_cast<ShardedSeabedBackend&>(session_.executor()).shard_server(0);
   const EncryptedResponse response =
       server.Execute(tq.server, session_.cluster(), db.table.get(), nullptr);
   EXPECT_GT(response.groups.size(), 3u);  // inflated on the wire

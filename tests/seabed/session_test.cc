@@ -1,8 +1,8 @@
 // Cross-backend equivalence through the Session facade: the same parsed
 // Query objects must return identical rows from PlainExecutorBackend,
-// PaillierBackend and SeabedBackend, and every backend must populate
-// QueryStats. This is the contract the paper's whole evaluation rests on —
-// three systems, one query set.
+// PaillierBackend and the kSeabed backend (a one-shard ShardedSeabedBackend),
+// and every backend must populate QueryStats. This is the contract the
+// paper's whole evaluation rests on — three systems, one query set.
 #include "src/seabed/session.h"
 
 #include <gtest/gtest.h>

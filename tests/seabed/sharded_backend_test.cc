@@ -3,8 +3,9 @@
 // and round two reported separately), the two-round-trip probe path with its
 // zero-match short-circuit, intra-shard row-group pruning, appends (batch
 // locality), skew-triggered rebalancing, concurrency of Append against
-// joins, and joins through the replica. The randomized equivalence suite
-// (fuzz_equivalence_test.cc) covers breadth; these tests pin the mechanics.
+// joins, joins through the replica, and kSeabed as a one-shard fleet. The
+// randomized equivalence suite (fuzz_equivalence_test.cc) covers breadth;
+// these tests pin the mechanics.
 #include "src/seabed/sharded_backend.h"
 
 #include <gtest/gtest.h>
@@ -327,10 +328,15 @@ TEST(ShardRebalanceTest, SkewedAppendsTriggerMigrationAndStayCorrect) {
   rebal_options.shards_rebalance.enabled = true;
   rebal_options.shards_rebalance.max_skew_ratio = 1.3;
   rebal_options.shards_rebalance.row_group_size = 128;
+  // kSeabed is a one-shard fleet: `shards` and the rebalance options do not
+  // apply to it.
+  SessionOptions one_shard_options = rebal_options;
+  one_shard_options.backend = BackendKind::kSeabed;
 
   Session plain(TestOptions(BackendKind::kPlain, 1));
   Session skewed(TestOptions(BackendKind::kShardedSeabed, kShards));
   Session rebalanced(std::move(rebal_options));
+  Session one_shard(std::move(one_shard_options));
 
   const auto seed_table = MakeEmpBatch(400, "s1", 0, 7);
   PlainSchema schema;
@@ -347,7 +353,7 @@ TEST(ShardRebalanceTest, SkewedAppendsTriggerMigrationAndStayCorrect) {
     q.GroupBy("store");
     samples.push_back(q);
   }
-  const std::vector<Session*> sessions = {&plain, &skewed, &rebalanced};
+  const std::vector<Session*> sessions = {&plain, &skewed, &rebalanced, &one_shard};
   for (Session* s : sessions) {
     s->Attach(CloneTable(*seed_table), schema, samples);
   }
@@ -382,6 +388,11 @@ TEST(ShardRebalanceTest, SkewedAppendsTriggerMigrationAndStayCorrect) {
   EXPECT_GT(stats->row_groups_moved, 0u);
   EXPECT_GT(stats->rows_reencrypted, 0u);
   EXPECT_EQ(skewed.rebalance_stats()->rebalances, 0u);
+
+  // Every append lands on kSeabed's single shard, and nothing migrates.
+  const auto& one_shard_backend = static_cast<ShardedSeabedBackend&>(one_shard.executor());
+  EXPECT_EQ(one_shard_backend.ShardRowCounts("emp"), std::vector<size_t>{total_rows});
+  EXPECT_FALSE(one_shard.rebalance_stats().has_value());
 
   // Identifier spaces stay disjoint after migration: no ASHE identifier of
   // the salary column appears in two shard partitions (pad reuse across
@@ -420,6 +431,7 @@ TEST(ShardRebalanceTest, SkewedAppendsTriggerMigrationAndStayCorrect) {
     const auto reference = RowsAsStrings(plain.Execute(q, nullptr));
     EXPECT_EQ(RowsAsStrings(skewed.Execute(q, nullptr)), reference);
     EXPECT_EQ(RowsAsStrings(rebalanced.Execute(q, nullptr)), reference);
+    EXPECT_EQ(RowsAsStrings(one_shard.Execute(q, nullptr)), reference);
     ExpectProbeStatsInvariants(rebalanced, q, reference);
   }
 }
@@ -617,7 +629,8 @@ TEST(ShardedJoinTest, JoinAggregatesThroughTheReplica) {
 
   Session plain(TestOptions(BackendKind::kPlain, 1));
   Session sharded(TestOptions(BackendKind::kShardedSeabed, 3));
-  for (Session* s : {&plain, &sharded}) {
+  Session one_shard(TestOptions(BackendKind::kSeabed, 3));
+  for (Session* s : {&plain, &sharded, &one_shard}) {
     s->Attach(fact, fact_schema, {join_sample});
     s->Attach(dim, dim_schema, {dim_sample});
   }
@@ -647,6 +660,14 @@ TEST(ShardedJoinTest, JoinAggregatesThroughTheReplica) {
     EXPECT_GT(replica_rank->IdOfRow(0), part_rank->IdOfRow(part_rank->RowCount() - 1))
         << "shard " << s;
   }
+
+  // kSeabed's single shard joins against its own part 0, which already
+  // holds the whole right table: no replica is ever built.
+  EXPECT_EQ(RowsAsStrings(one_shard.Execute(q, nullptr)),
+            RowsAsStrings(plain.Execute(q, nullptr)));
+  const auto& one_shard_backend = static_cast<ShardedSeabedBackend&>(one_shard.executor());
+  EXPECT_EQ(one_shard_backend.num_shards(), 1u);
+  EXPECT_EQ(one_shard_backend.replica_database("pages"), nullptr);
 }
 
 }  // namespace
